@@ -30,9 +30,8 @@ regression checker guards it against drift via
 import json
 import os
 import tempfile
-import time
 
-from conftest import OUT_DIR
+from conftest import OUT_DIR, interleaved_min_cpu
 
 from repro.runner.experiment import run_experiment
 
@@ -73,14 +72,7 @@ def make_modes(ckpt_path):
 
 def measure(modes, rounds=ROUNDS):
     """Min CPU time per mode over interleaved rounds, in microseconds."""
-    best = {name: float("inf") for name in modes}
-    for fn in modes.values():  # warmup, untimed
-        fn()
-    for _ in range(rounds):
-        for name, fn in modes.items():
-            t0 = time.process_time()
-            fn()
-            best[name] = min(best[name], time.process_time() - t0)
+    best = interleaved_min_cpu(modes, rounds)
     return {name: value * 1e6 for name, value in best.items()}
 
 

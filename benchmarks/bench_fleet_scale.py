@@ -28,9 +28,8 @@ Writes ``benchmarks/out/BENCH_fleet_scale.json``.
 """
 
 import json
-import time
 
-from conftest import FULL, OUT_DIR
+from conftest import FULL, OUT_DIR, interleaved_min_cpu
 
 from repro.fleet import FleetConfig, run_fleet, run_fleet_naive
 
@@ -66,13 +65,7 @@ def measure(rounds=ROUNDS):
         "naive": lambda: run_fleet_naive(naive_cfg),
         "batched": lambda: run_fleet(batch_cfg),
     }
-    best = {name: float("inf") for name in modes}
-    for _ in range(rounds):
-        for name, fn in modes.items():
-            t0 = time.process_time()
-            fn()
-            best[name] = min(best[name], time.process_time() - t0)
-    return best
+    return interleaved_min_cpu(modes, rounds, warmup=False)
 
 
 def test_fleet_scale_throughput(benchmark, report):

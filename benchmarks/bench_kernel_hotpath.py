@@ -27,9 +27,8 @@ Writes ``benchmarks/out/BENCH_kernel_hotpath.json``.
 
 import dataclasses
 import json
-import time
 
-from conftest import FULL, OUT_DIR, SCALE
+from conftest import FULL, OUT_DIR, SCALE, interleaved_min_cpu
 
 from _legacy_kernel import LegacySimKernel
 from repro.runner.experiment import run_experiment
@@ -89,15 +88,10 @@ def run_once(kernel_cls=None):
 def measure(rounds=ROUNDS):
     """Min CPU time per kernel over interleaved rounds (us) + last results."""
     modes = {"flat": lambda: run_once(), "legacy": lambda: run_once(LegacySimKernel)}
-    best = {name: float("inf") for name in modes}
     results = {}
     for name, fn in modes.items():  # warmup, untimed; keeps a result
         results[name] = fn()
-    for _ in range(rounds):
-        for name, fn in modes.items():
-            t0 = time.process_time()
-            fn()
-            best[name] = min(best[name], time.process_time() - t0)
+    best = interleaved_min_cpu(modes, rounds, warmup=False)
     return {name: value * 1e6 for name, value in best.items()}, results
 
 

@@ -23,10 +23,9 @@ Writes ``benchmarks/out/BENCH_monitor_hotpath.json``.
 """
 
 import json
-import time
 
 import numpy as np
-from conftest import OUT_DIR
+from conftest import OUT_DIR, interleaved_min_cpu
 
 from _legacy_monitor import LegacyMonitor
 from repro.monitor.attrs import MonitorAttrs
@@ -103,14 +102,7 @@ def run_legacy(seed=SEED):
 def measure(rounds=ROUNDS):
     """Min CPU time per implementation over interleaved rounds, in us."""
     modes = {"array": run_array, "legacy": run_legacy}
-    best = {name: float("inf") for name in modes}
-    for fn in modes.values():  # warmup, untimed
-        fn()
-    for _ in range(rounds):
-        for name, fn in modes.items():
-            t0 = time.process_time()
-            fn()
-            best[name] = min(best[name], time.process_time() - t0)
+    best = interleaved_min_cpu(modes, rounds)
     return {name: value * 1e6 for name, value in best.items()}
 
 

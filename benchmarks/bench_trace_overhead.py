@@ -31,9 +31,8 @@ minima so regressions are diffable across commits.
 
 import io
 import json
-import time
 
-from conftest import OUT_DIR
+from conftest import OUT_DIR, interleaved_min_cpu
 
 from repro.runner.experiment import run_experiment
 from repro.sanitize import SimSanitizer
@@ -93,14 +92,7 @@ def make_sanitizer_modes(workload, config):
 
 def measure(modes, rounds=ROUNDS):
     """Min CPU time per mode over interleaved rounds, in microseconds."""
-    best = {name: float("inf") for name in modes}
-    for fn in modes.values():  # warmup, untimed
-        fn()
-    for _ in range(rounds):
-        for name, fn in modes.items():
-            t0 = time.process_time()
-            fn()
-            best[name] = min(best[name], time.process_time() - t0)
+    best = interleaved_min_cpu(modes, rounds)
     return {name: value * 1e6 for name, value in best.items()}
 
 

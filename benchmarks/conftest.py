@@ -24,6 +24,7 @@ paper-vs-measured record.
 from __future__ import annotations
 
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,23 @@ def effective_scale(spec, min_duration_s: float = MIN_DURATION_S) -> float:
     if nominal_s <= min_duration_s:
         return 1.0
     return max(SCALE, min_duration_s / nominal_s)
+
+
+def interleaved_min_cpu(modes, rounds, warmup=True):
+    """Min CPU seconds (``time.process_time``) per mode over ``rounds``
+    interleaved rounds: each round runs every mode once, in order, so
+    slow drift in machine load hits all modes alike.  With ``warmup``
+    every mode first runs once untimed."""
+    if warmup:
+        for fn in modes.values():
+            fn()
+    best = {name: float("inf") for name in modes}
+    for _ in range(rounds):
+        for name, fn in modes.items():
+            t0 = time.process_time()
+            fn()
+            best[name] = min(best[name], time.process_time() - t0)
+    return best
 
 
 class BenchReport:

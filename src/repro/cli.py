@@ -636,8 +636,10 @@ def _cmd_resume(args) -> int:
 
 
 def _cmd_schemes(args) -> int:
-    with open(args.file) as handle:
-        text = handle.read()
+    try:
+        text = Path(args.file).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read scheme file {args.file}: {exc}") from exc
     # Static analysis first: refuse to run on errors, surface warnings.
     _, diagnostics = analyze_scheme_text(text, file=args.file)
     for diag in diagnostics:

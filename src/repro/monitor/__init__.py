@@ -21,11 +21,11 @@ The access-check mechanism is abstracted behind *monitoring primitives*
 physical-address targets use the reverse map.
 """
 
+from ..perf.regionarray import MIN_REGION_SIZE
 from .attrs import MonitorAttrs
 from .batch import BatchMonitorPass, BatchRegionTable, BatchTickStats
 from .core import DataAccessMonitor
 from .primitives import MonitoringPrimitive, PhysicalPrimitive, VirtualPrimitive
-from .region import MIN_REGION_SIZE, Region
 from .snapshot import RegionSnapshot, Snapshot
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "MonitorAttrs",
     "MonitoringPrimitive",
     "PhysicalPrimitive",
-    "Region",
     "RegionSnapshot",
     "Snapshot",
     "VirtualPrimitive",

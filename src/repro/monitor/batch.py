@@ -4,7 +4,7 @@ One fleet runs one monitor daemon, not ten thousand: instead of a
 Python-level :class:`~repro.monitor.core.DataAccessMonitor` per tenant,
 the fleet keeps all tenants' regions in a single struct-of-arrays table
 (:class:`BatchRegionTable` — the fleet-wide analogue of the single-run
-:class:`~repro.monitor.region.RegionArray`) and
+:class:`~repro.perf.regionarray.RegionArray`) and
 :class:`BatchMonitorPass` sweeps it with vectorized numpy passes.
 
 The sampling and aggregation semantics mirror the per-process monitor:

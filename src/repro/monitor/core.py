@@ -33,18 +33,17 @@ same list — and the same views — across reads).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import MonitorStateError
-from ..perf.regionarray import RegionArray
+from ..perf.regionarray import MIN_REGION_SIZE, RegionArray
 from ..sim.clock import EventQueue
 from ..trace.bus import TraceBus
 from ..trace.events import AccessSampled, RegionsAggregated
 from .attrs import MonitorAttrs
 from .primitives import MonitoringPrimitive
-from .region import MIN_REGION_SIZE, Region, regions_intersecting
 from .snapshot import Snapshot
 
 __all__ = ["DataAccessMonitor"]
@@ -80,7 +79,7 @@ class DataAccessMonitor:
         # View cache for the ``regions`` property (see below).
         self._views: Optional[List] = None
         self._views_generation = -1
-        self.regions = []  # installs an empty RegionArray via the setter
+        self.regions = RegionArray()  # the setter also resets sampling
         # Sampling state: addresses whose accessed bits were cleared at
         # _pending_since, to be checked at the next sampling tick.
         self._pending_since = 0
@@ -110,10 +109,10 @@ class DataAccessMonitor:
         return self._views
 
     @regions.setter
-    def regions(self, value) -> None:
-        """Install a new region list (tests and layout updates assign
-        plain :class:`Region` lists here); resets the sampling state."""
-        self._ra = RegionArray.from_regions(list(value))
+    def regions(self, value: RegionArray) -> None:
+        """Install a new region table (region init, layout updates and
+        tests assign here); resets the sampling state."""
+        self._ra = value
         self._views = None
         self._views_generation = -1
         self._addrs: Optional[np.ndarray] = None
@@ -194,18 +193,18 @@ class DataAccessMonitor:
         ranges = self.primitive.target_ranges()
         self._seen_generation = self.primitive.layout_generation()
         total = sum(end - start for start, end in ranges)
-        out: List[Region] = []
+        bounds: List[Tuple[int, int]] = []
         for start, end in ranges:
             share = max(1, round(self.attrs.min_nr_regions * (end - start) / total))
-            out.extend(self._evenly_split(start, end, share))
-        self.regions = out
+            bounds.extend(self._evenly_split(start, end, share))
+        self.regions = RegionArray.from_bounds(bounds)
 
     @staticmethod
-    def _evenly_split(start: int, end: int, pieces: int) -> List[Region]:
+    def _evenly_split(start: int, end: int, pieces: int) -> List[Tuple[int, int]]:
         size = end - start
         pieces = max(1, min(pieces, size // MIN_REGION_SIZE))
         if pieces <= 1:
-            return [Region(start, end)]
+            return [(start, end)]
         step = (size // pieces) & ~(MIN_REGION_SIZE - 1)
         step = max(step, MIN_REGION_SIZE)
         out = []
@@ -213,9 +212,9 @@ class DataAccessMonitor:
         for _ in range(pieces - 1):
             if end - (cursor + step) < MIN_REGION_SIZE:
                 break
-            out.append(Region(cursor, cursor + step))
+            out.append((cursor, cursor + step))
             cursor += step
-        out.append(Region(cursor, end))
+        out.append((cursor, end))
         return out
 
     def regions_update_tick(self, now: int) -> None:
@@ -226,7 +225,7 @@ class DataAccessMonitor:
             return
         self._seen_generation = generation
         ranges = self.primitive.target_ranges()
-        self.regions = regions_intersecting(self._ra.to_regions(), ranges)
+        self.regions = self._ra.clip(ranges)
         if self._ra.n == 0:
             self.init_regions()
         self._reset_sampling_state(now)

@@ -1,10 +1,10 @@
 """Struct-of-arrays region storage: the monitor's vectorized hot path.
 
 The paper's overhead bound (§3.1) promises at most ``max_nr_regions``
-checks per sampling interval — but the *constant* in front of that bound
-was a pure-Python loop over one ``Region`` object per region, paid by
-every epoch of every scheme of every sweep point.  :class:`RegionArray`
-keeps the region table as parallel NumPy columns instead::
+checks per sampling interval; the *constant* in front of that bound is
+paid by every epoch of every scheme of every sweep point.
+:class:`RegionArray` is the monitor's one region model: the region
+table as parallel NumPy columns::
 
     start / end / nr_accesses / last_nr_accesses / nr_writes   int64
     age / sampling_addr                                        int64
@@ -12,15 +12,12 @@ keeps the region table as parallel NumPy columns instead::
 
 and runs the per-aggregation passes — counter publish, merge+age,
 counter reset, split, sampling-address choice — as whole-column
-vector operations.
+vector operations, plus the layout-update clip.
 
 Determinism contract: every pass is a pure function of the column state
 and the monitor's seeded RNG; the RNG is drawn in fixed-size batches
 (one batch per pass, sized by the region count), so the same seed
 produces the same region trajectory on every run and on every machine.
-The batched draws consume the stream *differently* from the pre-PR
-per-object loop, so traces differ from pre-PR ones — but are stable
-from this version on.
 
 :class:`RegionView` is the thin object façade kept for callbacks,
 invariant checks and the schemes engine's per-region action loop: it
@@ -33,19 +30,16 @@ aggregation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import MonitorStateError
+from ..errors import ConfigError, MonitorStateError
 
-if TYPE_CHECKING:  # pragma: no cover — import cycle guard (typing only)
-    from ..monitor.region import Region
-
-__all__ = ["RegionArray", "RegionView"]
+__all__ = ["MIN_REGION_SIZE", "RegionArray", "RegionView"]
 
 #: Regions never shrink below one page: the sampling granularity.
-_MIN_REGION_SIZE = 4096
+MIN_REGION_SIZE = 4096
 _PAGE_SHIFT = 12
 
 #: The int64 columns, in canonical order.
@@ -63,10 +57,10 @@ _INT_COLUMNS = (
 class RegionView:
     """One region of a :class:`RegionArray`, viewed as an object.
 
-    Attribute reads/writes go straight to the backing columns; the view
-    quacks exactly like :class:`~repro.monitor.region.Region` for the
-    schemes engine, snapshots and tests.  Positional: stale after the
-    next structural pass of the owning array.
+    Attribute reads/writes go straight to the backing columns; the
+    schemes engine, snapshots and tests see regions only through views.
+    Positional: stale after the next structural pass of the owning
+    array.
     """
 
     __slots__ = ("_ra", "_i")
@@ -168,39 +162,26 @@ class RegionArray:
         self.generation = 0
 
     # ------------------------------------------------------------------
-    # Construction / conversion
+    # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_regions(cls, regions: Sequence) -> "RegionArray":
-        """Build a column table from Region-like objects (copies)."""
-        ra = cls(len(regions))
-        for i, region in enumerate(regions):
-            ra.start[i] = region.start
-            ra.end[i] = region.end
-            ra.nr_accesses[i] = region.nr_accesses
-            ra.last_nr_accesses[i] = region.last_nr_accesses
-            ra.nr_writes[i] = region.nr_writes
-            ra.write_ewma[i] = region.write_ewma
-            ra.age[i] = region.age
-            ra.sampling_addr[i] = region.sampling_addr
+    def from_bounds(cls, bounds: Iterable[Tuple[int, int]]) -> "RegionArray":
+        """Fresh regions over ``(start, end)`` pairs: counters zero,
+        each sampling from its own start.  Raises :class:`ConfigError`
+        for a region below :data:`MIN_REGION_SIZE`."""
+        pairs = np.array(list(bounds), dtype=np.int64).reshape(-1, 2)
+        ra = cls(len(pairs))
+        ra.start[:] = pairs[:, 0]
+        ra.end[:] = pairs[:, 1]
+        ra.sampling_addr[:] = ra.start
+        small = np.flatnonzero(ra.end - ra.start < MIN_REGION_SIZE)
+        if small.size:
+            i = int(small[0])
+            raise ConfigError(
+                f"region [{int(ra.start[i]):#x}, {int(ra.end[i]):#x}) below "
+                f"minimum size {MIN_REGION_SIZE}"
+            )
         return ra
-
-    def to_regions(self) -> List["Region"]:
-        """Materialise real :class:`Region` copies (layout updates use
-        these so the clipping logic stays in one place)."""
-        from ..monitor.region import Region
-
-        out: List[Region] = []
-        for i in range(self.n):
-            region = Region(int(self.start[i]), int(self.end[i]))
-            region.nr_accesses = int(self.nr_accesses[i])
-            region.last_nr_accesses = int(self.last_nr_accesses[i])
-            region.nr_writes = int(self.nr_writes[i])
-            region.write_ewma = float(self.write_ewma[i])
-            region.age = int(self.age[i])
-            region.sampling_addr = int(self.sampling_addr[i])
-            out.append(region)
-        return out
 
     def view(self, index: int) -> RegionView:
         """A write-through object view of row ``index``."""
@@ -241,7 +222,7 @@ class RegionArray:
         ``ranges`` is given — the tiling invariant (regions cover the
         target ranges byte for byte)."""
         sizes = self.end - self.start
-        if self.n and int(sizes.min()) < _MIN_REGION_SIZE:
+        if self.n and int(sizes.min()) < MIN_REGION_SIZE:
             i = int(sizes.argmin())
             raise MonitorStateError(
                 f"undersized region [{int(self.start[i]):#x}, "
@@ -303,11 +284,10 @@ class RegionArray:
         merged region at ``sz_limit`` so at least ``min_nr_regions``
         survive.  Returns the number of merges performed.
 
-        Merged counters are size-weighted averages of the parents', as
-        in :func:`~repro.monitor.region.merge_two`; similarity is judged
-        between the *published* neighbour counts (the object-loop
-        compared against the running merged average — an equivalent
-        bound, evaluated in one vector pass here).
+        Merged counters are size-weighted averages of the parents'
+        (paper §3.1; upstream ``damon_merge_two_regions``) and a merged
+        region samples from its leftmost parent's address; similarity is
+        judged between the *published* neighbour counts.
         """
         n = self.n
         if n == 0:
@@ -423,8 +403,8 @@ class RegionArray:
         self.nr_writes = np.repeat(self.nr_writes, counts)
         self.write_ewma = np.repeat(self.write_ewma, counts)
         self.age = np.repeat(self.age, counts)
-        # Fresh children sample from their own start (as fresh Region
-        # objects did); unsplit rows keep their sampling address.
+        # Fresh children sample from their own start; unsplit rows keep
+        # their sampling address.
         out_sampling = out_start.copy()
         unsplit = np.flatnonzero(counts == 1)
         out_sampling[base[unsplit]] = self.sampling_addr[unsplit]
@@ -433,10 +413,65 @@ class RegionArray:
         return total - n
 
     def pick_sampling_addrs(self, rng: np.random.Generator) -> np.ndarray:
-        """One random page-aligned sample address per region (the same
-        single-batch draw the object path used)."""
+        """One random page-aligned sample address per region, drawn in a
+        single batch.  ``sampling_addr`` is not written back here: the
+        sampling loop owns the pending addresses, and :meth:`publish`
+        records them at aggregation boundaries."""
         if self.n == 0:
             return np.empty(0, dtype=np.int64)
         n_pages = (self.end - self.start) >> _PAGE_SHIFT
         offsets = (rng.random(self.n) * n_pages).astype(np.int64)
         return self.start + (offsets << _PAGE_SHIFT)
+
+    # ------------------------------------------------------------------
+    # Layout updates
+    # ------------------------------------------------------------------
+    def clip(self, ranges: Iterable[Tuple[int, int]]) -> "RegionArray":
+        """The table clipped to a new set of target ranges (the
+        regions-update step after mmap/munmap or hotplug).
+
+        Regions overlapping the new layout survive, clipped to it and
+        keeping their counters and age — monitoring history outlives a
+        layout change — and uncovered parts of the ranges get fresh
+        regions.  Every piece samples from its own start.
+
+        Every byte of every range at least ``MIN_REGION_SIZE`` long ends
+        up covered (the tiling invariant): pieces below the minimum
+        region size — clipped survivors and gap fills alike — are
+        absorbed into the next piece (the last one into the previous),
+        which keeps its own counters.  A whole range below the minimum
+        is too small to monitor at page granularity and is skipped.
+        Consumes no randomness.
+        """
+        rows: List[Tuple[int, int, int]] = []  # (start, end, survivor or -1)
+        for lo, hi in ranges:
+            # Tile the range with clipped survivors interleaved with gap
+            # fills, any size.
+            pieces: List[Tuple[int, int, int]] = []
+            covered = lo
+            for i in np.flatnonzero((self.start < hi) & (lo < self.end)):
+                a = max(int(self.start[i]), lo)
+                b = min(int(self.end[i]), hi)
+                if a > covered:
+                    pieces.append((covered, a, -1))
+                pieces.append((a, b, int(i)))
+                covered = b
+            if hi > covered:
+                pieces.append((covered, hi, -1))
+            first = len(rows)
+            carry: Optional[int] = None
+            for a, b, source in pieces:
+                if carry is not None:
+                    a, carry = carry, None
+                if b - a < MIN_REGION_SIZE:
+                    carry = a
+                    continue
+                rows.append((a, b, source))
+            if carry is not None and len(rows) > first:
+                rows[-1] = (rows[-1][0], hi, rows[-1][2])
+        out = RegionArray.from_bounds([(a, b) for a, b, _ in rows])
+        src = np.array([source for _, _, source in rows], dtype=np.int64)
+        kept = np.flatnonzero(src >= 0)
+        for name in ("nr_accesses", "last_nr_accesses", "nr_writes", "age", "write_ewma"):
+            getattr(out, name)[kept] = getattr(self, name)[src[kept]]
+        return out

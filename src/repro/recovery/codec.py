@@ -168,6 +168,16 @@ def _write_file(
     return digest, len(blob)
 
 
+#: The header fields :func:`_write_file` records besides ``format``.
+_HEADER_FIELDS = (
+    ("kind", str),
+    ("time_us", int),
+    ("payload_bytes", int),
+    ("payload_sha256", str),
+    ("code_version", str),
+)
+
+
 def read_checkpoint_header(path: str) -> Dict[str, Any]:
     """Parse and validate line 1 of a checkpoint file (no unpickling)."""
     try:
@@ -184,6 +194,13 @@ def read_checkpoint_header(path: str) -> Dict[str, Any]:
             f"{path!r} is not a {CHECKPOINT_FORMAT} checkpoint "
             f"(format={header.get('format') if isinstance(header, dict) else line[:40]!r})"
         )
+    for key, kind in _HEADER_FIELDS:
+        value = header.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise CheckpointError(
+                f"checkpoint header in {path!r} lacks a valid {key!r} "
+                f"({kind.__name__} expected, got {value!r})"
+            )
     return header
 
 

@@ -106,22 +106,13 @@ class SchemesEngine:
                 if not now_active:
                     continue
             scheme.stats.nr_intervals += 1
-            ra = getattr(monitor, "_ra", None)
-            if ra is not None:
-                # Array-aware fast path: one vectorized pattern pass over
-                # the monitor's column table, then views only for the
-                # (typically few) matching regions.
-                mask = scheme.pattern.match_mask(ra, attrs)
-                if not mask.any():
-                    continue
-                regions = monitor.regions
-                matching = [regions[i] for i in np.flatnonzero(mask)]
-            else:
-                matching = [
-                    r for r in monitor.regions if scheme.pattern.matches(r, attrs)
-                ]
-            if not matching:
+            # One vectorized pattern pass over the monitor's region
+            # table, then views only for the (typically few) matches.
+            mask = scheme.pattern.match_mask(monitor._ra, attrs)
+            if not mask.any():
                 continue
+            regions = monitor.regions
+            matching = [regions[i] for i in np.flatnonzero(mask)]
             pass_tried = pass_applied = 0
             if scheme.quota is not None and scheme.quota.limited:
                 quota = scheme.quota
@@ -201,29 +192,3 @@ class SchemesEngine:
         if not self.schemes:
             return "(no schemes installed)"
         return "\n".join(s.describe() for s in self.schemes)
-
-    def validate(self, attrs=None) -> None:
-        """Sanity-check the installed schemes as a set.
-
-        .. deprecated::
-            Thin shim over the scheme semantic analyzer
-            (:func:`repro.lint.schemes.check_schemes`), kept for
-            callers of the old ad-hoc check.  Use ``check_schemes`` (or
-            ``daos lint --schemes``) directly: it reports *all*
-            diagnostics with stable codes instead of raising on the
-            first thrash hazard.
-
-        Raises :class:`~repro.errors.SchemeError` if the analyzer finds
-        any error-severity diagnostic (the old thrash check is DS150).
-        """
-        import warnings as _warnings
-
-        from ..lint.schemes import check_schemes
-
-        _warnings.warn(
-            "SchemesEngine.validate is deprecated; use "
-            "repro.lint.schemes.check_schemes (or `daos lint --schemes`)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        check_schemes(self.schemes, attrs, context="engine.validate")

@@ -16,7 +16,6 @@ import numpy as np
 
 from ..errors import SchemeError
 from ..monitor.attrs import MonitorAttrs
-from ..monitor.region import Region
 from ..units import UNLIMITED, format_size, format_time
 from .actions import Action
 from .filters import AddressFilter
@@ -65,50 +64,21 @@ class AccessPattern:
                 f"bad write-frequency range [{self.min_wfreq}, {self.max_wfreq}]"
             )
 
-    def matches(self, region: Region, attrs: MonitorAttrs) -> bool:
-        """Does ``region`` (with counters in ``attrs`` units) fit the pattern?
-
-        Frequency compares the region's access count against the pattern
-        bounds scaled to counts; age is measured in aggregation intervals
-        and compared against the pattern's bounds converted the same way,
-        so a ``min_age`` shorter than one aggregation interval behaves
-        like zero — exactly as in the kernel, where age has aggregation
-        granularity.
-        """
-        if not self.min_size <= region.size <= self.max_size:
-            return False
-        max_nr = attrs.max_nr_accesses
-        min_count = self.min_freq * max_nr
-        max_count = self.max_freq * max_nr
-        # Tolerate float rounding at the bounds (e.g. 0.25 * 20 == 5.0).
-        if not min_count - 1e-9 <= region.nr_accesses <= max_count + 1e-9:
-            return False
-        if self.min_wfreq > 0.0 or self.max_wfreq < 1.0:
-            # Match against the stronger of the instantaneous count and
-            # the peak-hold indicator, so periodically rewritten regions
-            # do not masquerade as clean during their idle windows.
-            writes = max(
-                getattr(region, "nr_writes", 0),
-                getattr(region, "write_ewma", 0.0),
-            )
-            min_w = self.min_wfreq * max_nr
-            max_w = self.max_wfreq * max_nr
-            if not min_w - 1e-9 <= writes <= max_w + 1e-9:
-                return False
-        min_age = attrs.age_intervals(self.min_age_us)
-        max_age = (
-            UNLIMITED
-            if self.max_age_us == UNLIMITED
-            else attrs.age_intervals(self.max_age_us)
-        )
-        return min_age <= region.age <= max_age
-
     def match_mask(self, ra, attrs: MonitorAttrs) -> "np.ndarray":
-        """Vectorized :meth:`matches` over a struct-of-arrays region
-        table (:class:`~repro.perf.regionarray.RegionArray`): one boolean
-        per region, identical to calling ``matches`` on each view —
-        including the float tolerance at the frequency bounds and the
-        write-channel short-circuit."""
+        """Which regions of a :class:`~repro.perf.regionarray.RegionArray`
+        fit the pattern: one boolean per region.
+
+        Frequency compares each region's access count against the
+        pattern bounds scaled to counts, tolerating float rounding at
+        the bounds (e.g. ``0.25 * 20 == 5.0``).  Write bounds, when set,
+        match against the stronger of the instantaneous write count and
+        the peak-hold indicator, so periodically rewritten regions do
+        not masquerade as clean during their idle windows.  Age is
+        measured in aggregation intervals and compared against the
+        pattern's bounds converted the same way, so a ``min_age``
+        shorter than one aggregation interval behaves like zero —
+        exactly as in the kernel, where age has aggregation granularity.
+        """
         sizes = ra.end - ra.start
         mask = (sizes >= self.min_size) & (sizes <= self.max_size)
         max_nr = attrs.max_nr_accesses

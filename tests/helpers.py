@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.perf.regionarray import RegionArray
 from repro.units import MSEC
 
 #: Base address used by most unit tests (2 MiB aligned).
@@ -22,3 +23,12 @@ def run_epochs(kernel, queue, bursts, n_epochs, epoch_us=100 * MSEC, compute_us=
     one_epoch(queue.clock.now)
     queue.schedule_periodic(epoch_us, one_epoch)
     queue.run_for(n_epochs * epoch_us)
+
+
+def region_table(bounds, **columns):
+    """A :class:`RegionArray` over ``(start, end)`` pairs, with optional
+    per-row column values: ``region_table([(0, K)], nr_accesses=[3])``."""
+    ra = RegionArray.from_bounds(bounds)
+    for name, values in columns.items():
+        getattr(ra, name)[:] = values
+    return ra

@@ -110,3 +110,20 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "pageout" in out
+
+    def test_missing_scheme_file_exits_2(self, capsys, tmp_path):
+        missing = tmp_path / "missing.schemes"
+        rc = main(["schemes", "splash2x/volrend", "-f", str(missing)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read scheme file")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_headerless_checkpoint_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "ck.bin"
+        path.write_text('{"format": "daos-ckpt-v1"}\n')
+        assert main(["resume", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "'kind'" in err
+        assert len(err.strip().splitlines()) == 1

@@ -7,7 +7,7 @@ Three real bugs, each with a test that fails on the pre-fix code:
    interval only *prepared* and the observable access-count ceiling was
    ``aggregation/sampling − 1``, never the ``attrs.max_nr_accesses``
    the schemes engine quantizes against.
-2. **Dropped address-space slivers** — ``regions_intersecting`` used to
+2. **Dropped address-space slivers** — the layout-update clip used to
    silently discard sub-``MIN_REGION_SIZE`` pieces (clipped survivors
    and gap fills), so after layout churn the region list stopped tiling
    the target ranges: mapped bytes left monitoring forever.
@@ -24,11 +24,11 @@ from repro.errors import MonitorStateError
 from repro.monitor.attrs import MonitorAttrs
 from repro.monitor.core import DataAccessMonitor
 from repro.monitor.primitives import MonitoringPrimitive
-from repro.monitor.region import MIN_REGION_SIZE, Region, regions_intersecting
+from repro.perf.regionarray import MIN_REGION_SIZE, RegionArray
 from repro.sim.clock import EventQueue
 from repro.units import MIB, MSEC
 
-from tests.helpers import BASE
+from tests.helpers import BASE, region_table
 
 K = MIN_REGION_SIZE
 
@@ -108,22 +108,20 @@ class TestSamplingCheckNotLost:
 # ----------------------------------------------------------------------
 # Fix 2: layout clipping never drops bytes
 # ----------------------------------------------------------------------
-def _counted(start, end, nr=7, last=5, age=3, writes=2):
-    region = Region(start, end)
-    region.nr_accesses = nr
-    region.last_nr_accesses = last
-    region.age = age
-    region.nr_writes = writes
-    return region
+def _counted(bounds, nr):
+    """Regions with the given access counts and common other counters."""
+    return region_table(
+        bounds, nr_accesses=nr, last_nr_accesses=5, age=3, nr_writes=2
+    )
 
 
 class TestRegionsIntersectingTiling:
     def test_sub_min_gap_sliver_is_absorbed_not_dropped(self):
         """A sub-page hole between two survivors used to vanish from
         monitoring; now the next region extends down over it."""
-        regions = [_counted(0, K, nr=1), _counted(K + K // 2, 3 * K, nr=9)]
+        regions = _counted([(0, K), (K + K // 2, 3 * K)], nr=[1, 9])
         ranges = [(0, 3 * K)]
-        out = regions_intersecting(regions, ranges)
+        out = regions.clip(ranges).views()
         assert sum(r.size for r in out) == 3 * K  # tiling: no lost bytes
         covering = next(r for r in out if r.start <= K + K // 2 < r.end)
         assert covering.start == K  # extended over the sliver
@@ -133,9 +131,9 @@ class TestRegionsIntersectingTiling:
         """A survivor clipped below the minimum size used to be
         discarded (with its bytes); now the previous region extends over
         it."""
-        regions = [_counted(0, K, nr=4), _counted(K, 2 * K, nr=8)]
+        regions = _counted([(0, K), (K, 2 * K)], nr=[4, 8])
         ranges = [(0, K + K // 4)]
-        out = regions_intersecting(regions, ranges)
+        out = regions.clip(ranges).views()
         assert sum(r.size for r in out) == K + K // 4
         assert len(out) == 1
         assert (out[0].start, out[0].end) == (0, K + K // 4)
@@ -145,14 +143,14 @@ class TestRegionsIntersectingTiling:
         """Page-aligned clipping (the common case) behaves exactly as
         before: survivors keep counters, uncovered space gets fresh
         regions."""
-        regions = [_counted(0, 2 * K, nr=6), _counted(2 * K, 4 * K, nr=2)]
+        regions = _counted([(0, 2 * K), (2 * K, 4 * K)], nr=[6, 2])
         ranges = [(K, 6 * K)]
-        out = regions_intersecting(regions, ranges)
+        out = regions.clip(ranges).views()
         assert [(r.start, r.end) for r in out] == [(K, 2 * K), (2 * K, 4 * K), (4 * K, 6 * K)]
         assert [r.nr_accesses for r in out] == [6, 2, 0]
 
     def test_whole_range_below_minimum_is_skipped(self):
-        assert regions_intersecting([_counted(0, K)], [(0, K // 2)]) == []
+        assert _counted([(0, K)], nr=7).clip([(0, K // 2)]).n == 0
 
     def test_monitor_invariants_include_tiling(self):
         """check_invariants now asserts the region list covers the
@@ -162,7 +160,9 @@ class TestRegionsIntersectingTiling:
         )
         monitor.init_regions()
         monitor.check_invariants()  # tiles after init
-        monitor.regions = monitor.regions[:-1]  # break the tiling
+        ra = monitor._ra
+        # Break the tiling: drop the last region.
+        monitor.regions = RegionArray.from_bounds(zip(ra.start[:-1], ra.end[:-1]))
         with pytest.raises(MonitorStateError, match="tile"):
             monitor.check_invariants()
 
@@ -173,7 +173,7 @@ class TestRegionsIntersectingTiling:
 class TestCounterPublishStrict:
     def _monitor(self):
         monitor = DataAccessMonitor(primitive=None, attrs=ATTRS, seed=2)
-        monitor.regions = [Region(0, K), Region(K, 2 * K), Region(2 * K, 3 * K)]
+        monitor.regions = RegionArray.from_bounds([(0, K), (K, 2 * K), (2 * K, 3 * K)])
         return monitor
 
     def test_short_accumulator_raises_with_both_lengths(self):

@@ -16,12 +16,15 @@ central mechanism (§3.1):
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.monitor.attrs import MonitorAttrs
 from repro.monitor.core import DataAccessMonitor
-from repro.monitor.region import MIN_REGION_SIZE, Region, merge_two, split_region
+from repro.perf.regionarray import MIN_REGION_SIZE, RegionArray
 from repro.units import MSEC
+
+from tests.helpers import region_table
 
 K = MIN_REGION_SIZE
 
@@ -44,7 +47,7 @@ def _monitor(regions) -> DataAccessMonitor:
 
 @st.composite
 def region_lists(draw, min_n=1, max_n=30, max_pages=16, gaps="maybe"):
-    """A sorted, non-overlapping region list with random counters.
+    """A sorted, non-overlapping region table with random counters.
 
     ``gaps`` — "maybe": random gaps; "never": fully adjacent;
     "always": at least one page between consecutive regions.
@@ -52,21 +55,25 @@ def region_lists(draw, min_n=1, max_n=30, max_pages=16, gaps="maybe"):
     n = draw(st.integers(min_n, max_n))
     lo = {"maybe": 0, "never": 0, "always": 1}[gaps]
     hi = {"maybe": 3, "never": 0, "always": 3}[gaps]
-    regions = []
+    bounds = []
     cursor = 0
     for _ in range(n):
         cursor += draw(st.integers(lo, hi)) * K
         size = draw(st.integers(1, max_pages)) * K
-        region = Region(cursor, cursor + size)
-        region.nr_accesses = draw(st.integers(0, 20))
-        region.last_nr_accesses = draw(st.integers(0, 20))
-        region.age = draw(st.integers(0, 60))
+        bounds.append((cursor, cursor + size))
         cursor += size
-        regions.append(region)
-    return regions
+    counters = st.lists(st.integers(0, 20), min_size=n, max_size=n)
+    return region_table(
+        bounds,
+        nr_accesses=draw(counters),
+        last_nr_accesses=draw(counters),
+        age=draw(st.lists(st.integers(0, 60), min_size=n, max_size=n)),
+    )
 
 
 def _covered_bytes(regions) -> int:
+    if isinstance(regions, RegionArray):
+        return regions.total_bytes()
     return sum(r.size for r in regions)
 
 
@@ -102,7 +109,7 @@ def test_merge_respects_min_nr_regions_floor(regions, threshold):
     total = _covered_bytes(regions)
     sz_limit = total // ATTRS.min_nr_regions
     assume(sz_limit >= MIN_REGION_SIZE)
-    assume(all(r.size <= sz_limit for r in regions))
+    assume(int(regions.sizes.max()) <= sz_limit)
     monitor = _monitor(regions)
     monitor._merge_regions(threshold)
     assert len(monitor.regions) >= ATTRS.min_nr_regions
@@ -128,7 +135,8 @@ def test_split_respects_max_nr_regions_ceiling(regions):
 @settings(max_examples=100)
 def test_split_children_inherit_counters(regions):
     parents = [
-        (r.start, r.end, r.nr_accesses, r.last_nr_accesses, r.age) for r in regions
+        (r.start, r.end, r.nr_accesses, r.last_nr_accesses, r.age)
+        for r in regions.views()
     ]
     monitor = _monitor(regions)
     monitor._split_regions()
@@ -153,7 +161,7 @@ def test_cycles_stay_bounded(regions, thresholds):
     total = _covered_bytes(regions)
     sz_limit = total // ATTRS.min_nr_regions
     assume(sz_limit >= MIN_REGION_SIZE)
-    assume(all(r.size <= sz_limit for r in regions))
+    assume(int(regions.sizes.max()) <= sz_limit)
     monitor = _monitor(regions)
     for threshold in thresholds:
         monitor._merge_regions(threshold)
@@ -172,7 +180,7 @@ def test_aging_resets_exactly_on_changed_count(regions, threshold):
     """With gaps everywhere (no merge can fire), the aging rule is
     exactly observable: age resets iff the access count moved by more
     than the merge threshold, and increments otherwise."""
-    before = [(r.nr_accesses, r.last_nr_accesses, r.age) for r in regions]
+    before = [(r.nr_accesses, r.last_nr_accesses, r.age) for r in regions.views()]
     monitor = _monitor(regions)
     monitor._merge_regions(threshold)
     assert len(monitor.regions) == len(before)
@@ -184,7 +192,7 @@ def test_aging_resets_exactly_on_changed_count(regions, threshold):
 
 
 # ----------------------------------------------------------------------
-# The two primitive operations
+# The two structural passes on a single pair / single region
 # ----------------------------------------------------------------------
 @given(
     left_pages=st.integers(1, 32),
@@ -197,24 +205,42 @@ def test_aging_resets_exactly_on_changed_count(regions, threshold):
 def test_merge_two_weighted_averages_stay_in_range(
     left_pages, right_pages, left_nr, right_nr, left_age, right_age
 ):
-    left = Region(0, left_pages * K)
-    right = Region(left_pages * K, (left_pages + right_pages) * K)
-    left.nr_accesses, right.nr_accesses = left_nr, right_nr
-    left.age, right.age = left_age, right_age
-    merged = merge_two(left, right)
-    assert merged.size == left.size + right.size
+    ra = region_table(
+        [(0, left_pages * K), (left_pages * K, (left_pages + right_pages) * K)],
+        nr_accesses=[left_nr, right_nr],
+        last_nr_accesses=[left_nr, right_nr],
+        age=[left_age, right_age],
+    )
+    ra.sampling_addr[:] = [K // 2, left_pages * K]
+    # A threshold spanning both counts forces the merge; counts are
+    # stable, so aging adds one to each age first.
+    ra.age_and_merge(threshold=20, sz_limit=(left_pages + right_pages) * K)
+    assert ra.n == 1
+    merged = ra.view(0)
+    assert merged.size == (left_pages + right_pages) * K
     assert min(left_nr, right_nr) <= merged.nr_accesses <= max(left_nr, right_nr)
-    assert min(left_age, right_age) <= merged.age <= max(left_age, right_age)
-    assert merged.sampling_addr == left.sampling_addr
+    assert min(left_age, right_age) + 1 <= merged.age <= max(left_age, right_age) + 1
+    assert merged.sampling_addr == K // 2
+
+
+class _Cut:
+    """An RNG stand-in whose ``integers`` cuts ``pages`` pages in."""
+
+    def __init__(self, pages):
+        self.pages = pages
+
+    def integers(self, low, high):
+        return np.full(np.shape(high), self.pages)
 
 
 @given(pages=st.integers(2, 64), split_page=st.integers(1, 63), nr=st.integers(0, 20))
 def test_split_region_tiles_parent_exactly(pages, split_page, nr):
     assume(split_page < pages)
-    parent = Region(0, pages * K)
-    parent.nr_accesses = nr
-    left, right = split_region(parent, split_page * K)
-    assert left.start == parent.start
-    assert left.end == right.start
-    assert right.end == parent.end
+    ra = region_table([(0, pages * K)], nr_accesses=nr)
+    assert ra.split(_Cut(split_page), 2) == 1
+    left, right = ra.views()
+    assert left.start == 0
+    assert left.end == right.start == split_page * K
+    assert right.end == pages * K
     assert left.nr_accesses == right.nr_accesses == nr
+    assert right.sampling_addr == split_page * K

@@ -154,6 +154,25 @@ class TestCheckpointCodec:
         with pytest.raises(CheckpointError):
             read_checkpoint_header(str(tmp_path / "missing.bin"))
 
+    @pytest.mark.parametrize(
+        "field", ["kind", "time_us", "payload_bytes", "payload_sha256", "code_version"]
+    )
+    @pytest.mark.parametrize("damage", ["missing", "wrong_type"])
+    def test_header_field_missing_or_mistyped(self, tmp_path, field, damage):
+        path = tmp_path / "ck.bin"
+        run = fresh_run()
+        run.run_until(run.spec.epoch_us)
+        checkpoint_run(run, str(path))
+        header_line, blob = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        if damage == "missing":
+            del header[field]
+        else:
+            header[field] = [header[field]]
+        path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        with pytest.raises(CheckpointError, match=repr(field)):
+            read_checkpoint_header(str(path))
+
     def test_version_skew_refused_unless_allowed(self, tmp_path, monkeypatch):
         path = str(tmp_path / "ck.bin")
         monkeypatch.setenv("REPRO_SWEEP_VERSION_TAG", "writer-code")

@@ -69,14 +69,6 @@ class TestEngineApplication:
         engine.replace_schemes([scheme])
         assert engine.schemes == [scheme]
 
-    def test_validate_rejects_hot_pageout(self, kernel):
-        scheme = Scheme(
-            pattern=AccessPattern(min_freq=0.8), action=Action.PAGEOUT
-        )
-        engine = SchemesEngine(kernel, [scheme])
-        with pytest.warns(DeprecationWarning), pytest.raises(SchemeError):
-            engine.validate()
-
     def test_describe(self, kernel, fast_attrs):
         scheme = parse_scheme("4K max min min 5s max pageout", fast_attrs)
         engine = SchemesEngine(kernel, [scheme])

@@ -18,7 +18,7 @@ from repro.schemes.engine import SchemesEngine
 from repro.schemes.scheme import AccessPattern, Scheme
 from repro.units import MIB, MSEC, SEC
 
-from tests.helpers import BASE, run_epochs
+from tests.helpers import BASE, region_table, run_epochs
 
 WATTRS = MonitorAttrs(
     sampling_interval_us=1 * MSEC,
@@ -98,30 +98,27 @@ class TestWriteAwareSchemes:
             AccessPattern(min_wfreq=0.9, max_wfreq=0.2)
 
     def test_clean_only_pattern(self):
-        from repro.monitor.region import Region
-
-        attrs = WATTRS
         pattern = AccessPattern(max_wfreq=0.0)
-        clean = Region(0, 8 * MIB)
-        clean.nr_accesses = 10
-        dirty = Region(8 * MIB, 16 * MIB)
-        dirty.nr_accesses = 10
-        dirty.nr_writes = 10
-        assert pattern.matches(clean, attrs)
-        assert not pattern.matches(dirty, attrs)
+        # clean, dirty
+        regions = region_table(
+            [(0, 8 * MIB), (8 * MIB, 16 * MIB)], nr_accesses=10, nr_writes=[0, 10]
+        )
+        assert pattern.match_mask(regions, WATTRS).tolist() == [True, False]
 
     def test_write_heavy_pattern(self):
-        from repro.monitor.region import Region
-
-        attrs = WATTRS
         pattern = AccessPattern(min_wfreq=0.5)
-        dirty = Region(0, MIB)
-        dirty.nr_accesses = 15
-        dirty.nr_writes = 15
-        assert pattern.matches(dirty, attrs)
-        clean = Region(MIB, 2 * MIB)
-        clean.nr_accesses = 15
-        assert not pattern.matches(clean, attrs)
+        # dirty, clean
+        regions = region_table(
+            [(0, MIB), (MIB, 2 * MIB)], nr_accesses=15, nr_writes=[15, 0]
+        )
+        assert pattern.match_mask(regions, WATTRS).tolist() == [True, False]
+
+    def test_peak_hold_keeps_idle_rewritten_region_dirty(self):
+        """Between rewrites the instantaneous count reads zero; the
+        peak-hold indicator still marks the region dirty."""
+        pattern = AccessPattern(max_wfreq=0.0)
+        regions = region_table([(0, MIB)], nr_writes=0, write_ewma=6.0)
+        assert pattern.match_mask(regions, WATTRS).tolist() == [False]
 
     def test_engine_targets_clean_memory_only(self, kernel, queue):
         """A clean-only PAGEOUT scheme must reclaim the read-cold part
