@@ -2,8 +2,11 @@
 
 Per sampling interval the monitor checks one sample page per region
 (``check_accesses``) and immediately picks and clears the next sample
-page (``prepare_access_checks``).  Per aggregation interval it runs, in
-upstream order:
+page (``prepare_access_checks``).  Sampling ticks that no other event
+separates read the same kernel state, so the event queue hands them
+over as one block and :meth:`DataAccessMonitor.sample_tick` runs them as
+one vectorised pass, byte-identical to one tick at a time.  Per
+aggregation interval it runs, in upstream order:
 
 1. **merge** adjacent regions with similar access counts — this pass
    also applies the *aging* rule (stable count → ``age += 1``, changed
@@ -13,10 +16,11 @@ upstream order:
 4. **reset** of the per-region counters (current → ``last_nr_accesses``);
 5. **split** of each region into 2 (or 3) randomly sized subregions,
    skipped when it would exceed ``max_nr_regions``;
-6. **prepare** the next sample round over the fresh region list, so the
-   full ``aggregation/sampling`` checks land in the next interval (a
-   region whose sample page is always hot reads exactly
-   ``attrs.max_nr_accesses``).
+6. **prepare** the next sample round over the fresh region list.  The
+   sampling tick due at the same instant fires right after this, so it
+   checks pages over a 0 µs window and never finds an accessed bit: of
+   the ``attrs.max_nr_accesses`` checks charged per interval, an
+   always-hot region reads at most ``max_nr_accesses - 1``.
 
 The merge size limit (total target size / ``min_nr_regions``) guarantees
 at least ``min_nr_regions`` regions survive merging; the split guard
@@ -47,6 +51,14 @@ from .primitives import MonitoringPrimitive
 from .snapshot import Snapshot
 
 __all__ = ["DataAccessMonitor"]
+
+
+def _slots(draws: np.ndarray, ticks: int, stride: int, lo: int, hi: int) -> np.ndarray:
+    """Slots ``[lo, hi)`` of each tick's ``stride`` draws, flat and
+    tick-major (a view for a single tick)."""
+    if ticks == 1:
+        return draws[lo:hi]
+    return draws.reshape(ticks, stride)[:, lo:hi].ravel()
 
 
 class DataAccessMonitor:
@@ -146,14 +158,14 @@ class DataAccessMonitor:
             raise MonitorStateError("monitor already running")
         self.init_regions()
         a = self.attrs
+        periods = {
+            "sample": a.sampling_interval_us,
+            "aggregate": a.aggregation_interval_us,
+            "update": a.regions_update_interval_us,
+        }
         self._events = [
-            queue.schedule_periodic(a.sampling_interval_us, self.sample_tick, name="sample"),
-            queue.schedule_periodic(
-                a.aggregation_interval_us, self.aggregate_tick, name="aggregate"
-            ),
-            queue.schedule_periodic(
-                a.regions_update_interval_us, self.regions_update_tick, name="update"
-            ),
+            queue.schedule_periodic(periods[name], tick, name=name, coalesce=coalesce)
+            for name, (tick, coalesce) in self.tick_handlers().items()
         ]
         self.running = True
 
@@ -165,13 +177,15 @@ class DataAccessMonitor:
         self.running = False
 
     def tick_handlers(self) -> dict:
-        """Periodic-name → bound-tick map, mirroring :meth:`start`'s
-        registration names.  Checkpoint restore uses it to re-register
-        the monitor's pending ticks on a fresh queue."""
+        """Periodic-name → ``(bound tick, coalesce)`` in :meth:`start`'s
+        registration order.  Checkpoint restore uses it to re-register
+        the monitor's pending ticks on a fresh queue.  Sampling ticks
+        coalesce into blocks unless a fault injector is attached: its
+        hooks draw and stamp their events per tick."""
         return {
-            "sample": self.sample_tick,
-            "aggregate": self.aggregate_tick,
-            "update": self.regions_update_tick,
+            "sample": (self.sample_tick, self.faults is None),
+            "aggregate": (self.aggregate_tick, False),
+            "update": (self.regions_update_tick, False),
         }
 
     def adopt_events(self, events) -> None:
@@ -243,63 +257,112 @@ class DataAccessMonitor:
             self._pending_since = now
 
     # ------------------------------------------------------------------
-    # Sampling tick: check previous sample pages, prepare the next
+    # Sampling ticks: check previous sample pages, prepare the next
     # ------------------------------------------------------------------
-    def sample_tick(self, now: int) -> None:
-        """One sampling interval: check the pending sample pages, then
-        pick (and clear) the next round's sample pages."""
-        checked = 0
-        hits = whits = None
+    def sample_tick(self, now: int, n: int = 1) -> None:
+        """``n`` consecutive sampling intervals, at ``now, now + p, …``
+        for ``p`` the sampling interval: each checks the pending sample
+        pages, then picks (and clears) the next round's.
+
+        The event queue coalesces the sampling periodic, so ``n`` ticks
+        arrive as one block only when no other event separates them:
+        they all read the same kernel state, and the block costs one RNG
+        draw and one probability lookup.  The result is byte-identical to
+        ``n`` single-tick calls.  Each tick draws ``[hits | write hits |
+        next addresses]``, one float64 per region each (a tick with
+        nothing to check draws only its addresses), and PCG64 fills one
+        array element per output, so one draw over the block yields the
+        same stream as per-tick draws.
+        """
+        ra = self._ra
+        r = ra.n
+        period = self.attrs.sampling_interval_us
+        faults = self.faults
+        if faults is not None and n != 1:
+            raise MonitorStateError("a monitor with fault hooks samples one tick at a time")
         # An injected drop_sample fault loses the whole tick's checks
         # (a missed kdamond wakeup): counters stay put, the next sample
-        # round is still prepared below.
-        dropped = self.faults is not None and self.faults.drop_sample_tick(now)
-        if (
-            not dropped
-            and self._addrs is not None
-            and self._addrs.size == self._ra.n
+        # round is still prepared.
+        pending = self._addrs
+        if (faults is not None and faults.drop_sample_tick(now)) or (
+            pending is not None and pending.size != r
         ):
-            window = now - self._pending_since
-            probs = self.primitive.access_probabilities(self._addrs, window)
-            hits = self.rng.random(len(probs)) < probs
-            if self.faults is not None:
-                flaky = self.faults.flaky_bit_mask(now, len(probs))
+            pending = None
+        first = int(pending is None)  # the first tick that checks pages
+        stride = (3 if self.attrs.track_writes else 2) * r
+        draws = self.rng.random(n * stride - first * (stride - r))
+        if first:
+            # Pad tick 0's unused check slots: one row of draws per tick.
+            draws = np.concatenate((np.zeros(stride - r), draws))
+        # Every array below is flat and tick-major, R entries per tick.
+        # Tick i picks the pages tick i + 1 checks.
+        picks = ra.sampling_addrs(_slots(draws, n, stride, stride - r, stride))
+        checking = n - first
+        hits = whits = None
+        if checking:
+            if first:
+                checked = picks[: (n - 1) * r]
+            elif n == 1:
+                checked = pending
             else:
-                flaky = None
+                checked = np.concatenate((pending, picks[: (n - 1) * r]))
+            # Pages picked at the previous tick read one sampling period.
+            window = period if first else now - self._pending_since
+            probe = self._probe
+            probs = probe(self.primitive.access_probabilities, checked, r, window, period)
+            draws = draws[first * stride :]
+            hits = _slots(draws, checking, stride, 0, r) < probs
+            flaky = faults.flaky_bit_mask(now, r) if faults is not None else None
             if flaky is not None:
                 # A lost PTE read clears both channels of the sample.
                 hits &= ~flaky
-            self._acc += hits
+            self._acc += hits if checking == 1 else hits.reshape(checking, r).sum(axis=0)
             if self.attrs.track_writes:
-                wprobs = self.primitive.write_probabilities(self._addrs, window)
-                whits = self.rng.random(len(wprobs)) < wprobs
+                wprobs = probe(self.primitive.write_probabilities, checked, r, window, period)
+                whits = _slots(draws, checking, stride, r, 2 * r) < wprobs
                 if flaky is not None:
                     whits &= ~flaky
-                self._wacc += whits
-            checked = self._ra.n
-            self.total_checks += checked
-        # The kdamond wakeup itself costs CPU even on a tick that only
-        # prepares the next sample round.
-        self.primitive.charge_checks(checked, wakeups=1)
-        # prepare_access_checks: pick and clear next sample pages.
-        self._addrs = self._ra.pick_sampling_addrs(self.rng)
-        self._pending_since = now
+                self._wacc += whits if checking == 1 else whits.reshape(checking, r).sum(axis=0)
+            self.total_checks += checking * r
+        self._addrs = picks[(n - 1) * r :]
+        self._pending_since = now + (n - 1) * period
+
         tr = self.trace
-        if tr is not None:
-            if tr.wants(AccessSampled):
+        emit = tr is not None and tr.wants(AccessSampled)
+        if emit:
+            hit_counts, whit_counts = (
+                [0] * checking if bits is None else bits.reshape(checking, r).sum(axis=1).tolist()
+                for bits in (hits, whits)
+            )
+        charge = self.primitive.charge_checks
+        for i in range(n):
+            checks = r if i >= first else 0
+            # The kdamond wakeup itself costs CPU even on a tick that
+            # only prepares the next sample round.
+            charge(checks, wakeups=1)
+            if emit:
+                j = i - first
                 tr.emit(
                     AccessSampled(
-                        time_us=tr.now,
-                        nr_regions=self._ra.n,
-                        checked=checked,
-                        hits=int(np.count_nonzero(hits)) if hits is not None else 0,
-                        write_hits=(
-                            int(np.count_nonzero(whits)) if whits is not None else 0
-                        ),
+                        time_us=tr.now + i * period,
+                        nr_regions=r,
+                        checked=checks,
+                        hits=hit_counts[j] if j >= 0 else 0,
+                        write_hits=whit_counts[j] if j >= 0 else 0,
                     )
                 )
-            else:
-                tr.count(AccessSampled)
+        if tr is not None and not emit:
+            tr.count(AccessSampled, n, period)
+
+    @staticmethod
+    def _probe(lookup, addrs: np.ndarray, r: int, window: int, period: int) -> np.ndarray:
+        """A primitive's ``lookup`` (access or write probabilities) over
+        the flat sample addresses of consecutive ticks, ``r`` per tick:
+        the first tick's read over ``window``, later ones' over one
+        sampling ``period``."""
+        if window == period or len(addrs) == r:
+            return lookup(addrs, window)
+        return np.concatenate((lookup(addrs[:r], window), lookup(addrs[r:], period)))
 
     # ------------------------------------------------------------------
     # Aggregation tick: merge/age → callbacks → schemes → reset → split
@@ -351,9 +414,9 @@ class DataAccessMonitor:
         self._ra.reset_counters()
         self._split_regions()
         # Prepare the next sample round *now* (over the post-split
-        # regions): the next interval gets its full complement of
-        # aggregation/sampling checks, so a saturating region reads
-        # exactly attrs.max_nr_accesses.
+        # regions), so no sampling tick of the next interval is spent
+        # merely preparing.  The tick due at this same instant checks
+        # these pages over a 0 µs window (see the module docstring).
         self._reset_sampling_state(now)
         self.total_aggregations += 1
         if self.sanitizer is not None:

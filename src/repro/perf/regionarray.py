@@ -419,9 +419,17 @@ class RegionArray:
         records them at aggregation boundaries."""
         if self.n == 0:
             return np.empty(0, dtype=np.int64)
+        return self.sampling_addrs(rng.random(self.n))
+
+    def sampling_addrs(self, draws: np.ndarray) -> np.ndarray:
+        """Sample addresses for uniform ``draws``, one per region per
+        sampling round.  ``draws`` is flat and round-major (``K`` rounds
+        of ``n`` draws), and so is the result."""
         n_pages = (self.end - self.start) >> _PAGE_SHIFT
-        offsets = (rng.random(self.n) * n_pages).astype(np.int64)
-        return self.start + (offsets << _PAGE_SHIFT)
+        if len(draws) != len(n_pages):
+            draws = draws.reshape(-1, len(n_pages))
+        offsets = (draws * n_pages).astype(np.int64)
+        return (self.start + (offsets << _PAGE_SHIFT)).ravel()
 
     # ------------------------------------------------------------------
     # Layout updates

@@ -383,25 +383,29 @@ def restore_run(
             )
 
     # -- rebuild the heap: every periodic back at its recorded (due,
-    #    registration-order) slot, via the stable name → callback map.
+    #    registration-order) slot, via the stable name → (callback,
+    #    coalesce) map, so sampling ticks coalesce as start() set them.
     handlers: Dict[str, Any] = {}
     monitor = tenant.monitor
     if monitor is not None:
         monitor.running = False
         monitor._events = []
         handlers.update(monitor.tick_handlers())
-    handlers["khugepaged"] = tenant.kernel.khugepaged_scan
-    handlers["epoch"] = run.run_one_epoch
+    handlers["khugepaged"] = (tenant.kernel.khugepaged_scan, False)
+    handlers["epoch"] = (run.run_one_epoch, False)
 
     monitor_events = []
     monitor_names = {"sample", "aggregate", "update"}
     for name, due, period in payload["periodics"]:
-        callback = handlers.get(name)
-        if callback is None:
+        handler = handlers.get(name)
+        if handler is None:
             raise CheckpointError(
                 f"checkpoint {path!r} names unknown periodic {name!r}"
             )
-        event = queue.schedule_periodic(period, callback, name=name, first_at=due)
+        callback, coalesce = handler
+        event = queue.schedule_periodic(
+            period, callback, name=name, first_at=due, coalesce=coalesce
+        )
         if monitor is not None and name in monitor_names:
             monitor_events.append(event)
     if monitor is not None:

@@ -157,18 +157,19 @@ class TraceBus:
         event construction entirely."""
         return self._wants_all or bool(self._handlers.get(event_type))
 
-    def count(self, event_type: Type[TraceEvent]) -> None:
-        """Account one ``event_type`` occurrence at the current clock
-        without materialising the event — the counters, ``n_events`` and
-        first/last timestamps move exactly as :meth:`emit` would for an
-        event stamped now."""
+    def count(self, event_type: Type[TraceEvent], n: int = 1, step_us: int = 0) -> None:
+        """Account ``n`` ``event_type`` occurrences stamped now, now +
+        ``step_us``, … without materialising the events — the counters,
+        ``n_events`` and first/last timestamps move exactly as :meth:`emit`
+        would for events with those stamps.  A coalesced block of
+        periodic firings counts itself in one call."""
         kind = event_type.kind
-        self.counts[kind] = self.counts.get(kind, 0) + 1
+        self.counts[kind] = self.counts.get(kind, 0) + n
         now = self.clock.now
         if not self.n_events:
             self.first_time_us = now
-        self.n_events += 1
-        self.last_time_us = now
+        self.n_events += n
+        self.last_time_us = now + (n - 1) * step_us
 
     def count_groups(self, event_type: Type[TraceEvent], counts: Mapping[str, int]) -> None:
         """Bulk-account many ``event_type`` occurrences split by group.

@@ -128,6 +128,20 @@ class TestDispatch:
             counting.count(AccessSampled)
         assert counting.summary() == emitting.summary()
 
+    def test_count_block_matches_stamped_emits(self):
+        """count(kind, n, step) moves the counters as n emits stamped
+        now, now + step, … would — how a coalesced block of sampling
+        ticks accounts itself."""
+        emitting, counting = TraceBus(ring_capacity=0), TraceBus(ring_capacity=0)
+        for t in (5, 40):
+            for bus in (emitting, counting):
+                bus.advance_to(t)
+            for i in range(4):
+                emitting.emit(sampled(t + i * 3))
+            counting.count(AccessSampled, 4, 3)
+        assert counting.summary() == emitting.summary()
+        assert counting.last_time_us == 49
+
     def test_count_groups_matches_count(self):
         """Bulk grouped accounting equals count() called per occurrence,
         with the per-group split recorded on the side."""
