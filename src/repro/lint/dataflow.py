@@ -135,7 +135,7 @@ def _looks_like_slice(index: ast.AST) -> bool:
 def _slots_mention_generation(class_node: ast.ClassDef) -> bool:
     """Does the class declare ``__slots__`` containing ``"generation"``?
 
-    ``__slots__`` expressions need not be literals (RegionArray builds
+    ``__slots__`` expressions need not be literals (a class may build
     its tuple from a column-name constant), so this scans every string
     constant inside the assigned expression.
     """

@@ -2,7 +2,7 @@
 
 The :class:`PerfProfiler` is a plain bus subscriber: it maps every
 event kind to the layer that emitted it (monitor / schemes / kernel /
-tuner / faults) and rolls up three columns per layer —
+tuner / faults / recovery) and rolls up three columns per layer —
 
 * **events** — events observed,
 * **ops** — the domain operations those events stand for (access checks,
@@ -38,12 +38,16 @@ _LAYER_OF_KIND = {
     "ReclaimPass": "kernel",
     "ThpPromotion": "kernel",
     "PageoutBatch": "kernel",
+    "TierMigration": "kernel",
     "EpochEnd": "kernel",
     "TuneStep": "tuner",
     "FaultInjected": "faults",
     "RetryAttempted": "faults",
     "DegradedModeEntered": "faults",
     "DegradedModeExited": "faults",
+    "CheckpointWritten": "recovery",
+    "RunResumed": "recovery",
+    "WorkerReaped": "recovery",
 }
 
 #: Event kind → payload field counted as that event's operations
@@ -56,6 +60,7 @@ _OPS_FIELD = {
     "ReclaimPass": "evicted_pages",
     "ThpPromotion": "promoted_chunks",
     "PageoutBatch": "paged_out_pages",
+    "TierMigration": "pages",
 }
 
 
@@ -140,12 +145,15 @@ def profile_run(
     seed: int = 0,
     time_scale: float = 0.25,
     costs: Optional[CostModel] = None,
+    **run_options: Any,
 ) -> Tuple[Dict[str, Any], Any]:
     """Run one experiment under the profiler; return ``(report, result)``.
 
-    The report's top level is deterministic for a fixed
-    (workload, config, machine, seed, time_scale); host-dependent
-    figures live under the ``volatile`` key only.
+    ``run_options`` are further :func:`~repro.runner.experiment.run_experiment`
+    keywords (a slow ``tier``, a ``checkpoint`` path, ...).  The report's
+    top level is deterministic for a fixed (workload, config, machine,
+    seed, time_scale, run_options); host-dependent figures live under the
+    ``volatile`` key only.
     """
     from ..runner.experiment import run_experiment
 
@@ -158,6 +166,7 @@ def profile_run(
         seed=seed,
         time_scale=time_scale,
         trace=bus,
+        **run_options,
     )
     report: Dict[str, Any] = {
         "workload": workload,

@@ -4,15 +4,18 @@ The paper's overhead bound (§3.1) promises at most ``max_nr_regions``
 checks per sampling interval; the *constant* in front of that bound is
 paid by every epoch of every scheme of every sweep point.
 :class:`RegionArray` is the monitor's one region model: the region
-table as parallel NumPy columns::
+table as NumPy columns::
 
-    start / end / nr_accesses / last_nr_accesses / nr_writes   int64
-    age / sampling_addr                                        int64
+    start / end / sampling_addr                                int64
+    counters: nr_accesses / last_nr_accesses / nr_writes / age  int64 (4, n)
     write_ewma                                                 float64
 
-and runs the per-aggregation passes — counter publish, merge+age,
-counter reset, split, sampling-address choice — as whole-column
-vector operations, plus the layout-update clip.
+The four counter names are properties returning row views of the
+block.  At ~40 regions a pass costs its numpy calls, not its regions,
+so the per-aggregation passes — counter publish, merge+age, counter
+reset, split, sampling-address choice — make whole-table calls: merge
+finds every chunk end with one ``searchsorted`` and averages all four
+counters with one ``reduceat``; split rebuilds them with one ``repeat``.
 
 Determinism contract: every pass is a pure function of the column state
 and the monitor's seeded RNG; the RNG is drawn in fixed-size batches
@@ -20,12 +23,11 @@ and the monitor's seeded RNG; the RNG is drawn in fixed-size batches
 produces the same region trajectory on every run and on every machine.
 
 :class:`RegionView` is the thin object façade kept for callbacks,
-invariant checks and the schemes engine's per-region action loop: it
-reads and writes the backing columns in place, so ``view.age = 0``
-is visible to the next vectorized pass.  Views are positional — they
-are valid until the next structural pass (merge/split/layout update)
-reorders the table; consumers get fresh views from the monitor each
-aggregation.
+invariant checks and tests: it reads and writes the backing columns in
+place, so ``view.age = 0`` is visible to the next vectorized pass.
+Views are positional — they are valid until the next structural pass
+(merge/split/layout update) reorders the table; consumers get fresh
+views from the monitor each aggregation.
 """
 
 from __future__ import annotations
@@ -42,16 +44,18 @@ __all__ = ["MIN_REGION_SIZE", "RegionArray", "RegionView"]
 MIN_REGION_SIZE = 4096
 _PAGE_SHIFT = 12
 
-#: The int64 columns, in canonical order.
-_INT_COLUMNS = (
-    "start",
-    "end",
-    "nr_accesses",
-    "last_nr_accesses",
-    "nr_writes",
-    "age",
-    "sampling_addr",
-)
+
+def _counter_row(row: int, name: str) -> property:
+    """Row ``row`` of ``RegionArray.counters`` as a read/write property
+    (a stored view would come back from pickle as a detached copy)."""
+
+    def get(self: "RegionArray") -> np.ndarray:
+        return self.counters[row]
+
+    def set(self: "RegionArray", value) -> None:
+        self.counters[row] = value
+
+    return property(get, set, doc=f"``{name}`` per region: row {row} of the counter block.")
 
 
 class RegionView:
@@ -152,11 +156,19 @@ class RegionView:
 class RegionArray:
     """The monitor's region table as parallel NumPy columns."""
 
-    __slots__ = tuple(_INT_COLUMNS) + ("write_ewma", "generation")
+    __slots__ = ("start", "end", "counters", "sampling_addr", "write_ewma", "generation")
+
+    nr_accesses = _counter_row(0, "nr_accesses")
+    last_nr_accesses = _counter_row(1, "last_nr_accesses")
+    nr_writes = _counter_row(2, "nr_writes")
+    age = _counter_row(3, "age")
 
     def __init__(self, n: int = 0):
-        for name in _INT_COLUMNS:
-            setattr(self, name, np.zeros(n, dtype=np.int64))
+        self.start = np.zeros(n, dtype=np.int64)
+        self.end = np.zeros(n, dtype=np.int64)
+        #: The integer counters, one row each: see the properties above.
+        self.counters = np.zeros((4, n), dtype=np.int64)
+        self.sampling_addr = np.zeros(n, dtype=np.int64)
         self.write_ewma = np.zeros(n, dtype=np.float64)
         #: Bumped on every structural change; view caches key off it.
         self.generation = 0
@@ -267,8 +279,8 @@ class RegionArray:
                 f"{len(acc)} access / {len(wacc)} write accumulators — "
                 f"was the region list mutated mid-interval?"
             )
-        np.copyto(self.nr_accesses, acc)
-        np.copyto(self.nr_writes, wacc)
+        self.counters[0] = acc
+        self.counters[2] = wacc
         # Peak-hold with slow decay; floored so long-idle regions
         # eventually read as fully clean again.
         np.maximum(wacc.astype(np.float64), self.write_ewma * 0.95,
@@ -289,70 +301,63 @@ class RegionArray:
         region samples from its leftmost parent's address; similarity is
         judged between the *published* neighbour counts.
         """
-        n = self.n
+        n = len(self.start)
         if n == 0:
             return 0
-        # Aging: stable access count → older; changed → reset.
-        changed = np.abs(self.nr_accesses - self.last_nr_accesses) > threshold
-        self.age = np.where(changed, 0, self.age + 1)
-        if n == 1:
-            return 0
-        mergeable = (self.end[:-1] == self.start[1:]) & (
-            np.abs(self.nr_accesses[:-1] - self.nr_accesses[1:]) <= threshold
-        )
-        if not mergeable.any():
+        block = self.counters
+        nr, age = block[0], block[3]
+        # Aging, in place: stable access count → older; changed → reset.
+        changed = np.abs(nr - block[1]) > threshold
+        age += 1
+        age[changed] = 0
+        # Row i ends a mergeable run unless it can merge with row i + 1.
+        run_ends = np.concatenate((
+            (self.end[:-1] != self.start[1:]) | (np.abs(nr[:-1] - nr[1:]) > threshold),
+            [True],
+        )).nonzero()[0]
+        if len(run_ends) == n:
             return 0
         sizes = self.end - self.start
-        cum = np.cumsum(sizes)
-        # Greedy size-capped fold: walk each mergeable run chunk by
-        # chunk (searchsorted over the cumulative sizes), so the Python
-        # loop is over *chunks*, not regions.
-        is_chunk_start = np.ones(n, dtype=bool)
-        run_idx = np.flatnonzero(mergeable)
-        run_breaks = np.flatnonzero(np.diff(run_idx) > 1) + 1
-        for run in np.split(run_idx, run_breaks):
-            first, last = int(run[0]), int(run[-1]) + 1  # regions first..last
-            j = first
-            while j <= last:
-                base = int(cum[j]) - int(sizes[j])
-                k = int(np.searchsorted(cum, base + sz_limit, side="right")) - 1
-                k = min(max(k, j), last)
-                is_chunk_start[j + 1 : k + 1] = False
-                j = k + 1
-        starts_idx = np.flatnonzero(is_chunk_start)
-        n_new = len(starts_idx)
-        if n_new == n:
+        cum = sizes.cumsum()
+        # Greedy size-capped fold: each row's chunk would end at the last
+        # row within ``sz_limit`` bytes of its start (one searchsorted
+        # over all rows), clamped to [row, end of its mergeable run]; a
+        # chunk starting at row j ends at chunk_end[j], so a plain-int
+        # walk over the chunk starts finds them all.
+        rows = np.arange(n)
+        chunk_end = cum.searchsorted(cum - sizes + sz_limit, side="right") - 1
+        chunk_end = np.minimum(np.maximum(chunk_end, rows), run_ends[run_ends.searchsorted(rows)])
+        last = chunk_end.tolist()
+        starts = []
+        j = 0
+        while j < n:
+            starts.append(j)
+            j = last[j] + 1
+        if len(starts) == n:
             return 0
-        ends_idx = np.append(starts_idx[1:], n) - 1
+        starts_idx = np.array(starts, dtype=np.int64)
+        # Size-weighted averages of all four counters at once: the same
+        # int64 products and float64 divide per element as one column
+        # at a time.
         weight_sum = np.add.reduceat(sizes, starts_idx)
-
-        def _avg_int(column: np.ndarray) -> np.ndarray:
-            return np.rint(
-                np.add.reduceat(column * sizes, starts_idx) / weight_sum
-            ).astype(np.int64)
-
-        new_nr = _avg_int(self.nr_accesses)
-        new_last = _avg_int(self.last_nr_accesses)
-        new_writes = _avg_int(self.nr_writes)
-        new_age = _avg_int(self.age)
-        new_ewma = (
+        self.counters = np.rint(
+            np.add.reduceat(block * sizes, starts_idx, axis=1) / weight_sum
+        ).astype(np.int64)
+        self.write_ewma = (
             np.add.reduceat(self.write_ewma * sizes, starts_idx) / weight_sum
         )
-        new_start = self.start[starts_idx]
-        new_end = self.end[ends_idx]
-        new_sampling = self.sampling_addr[starts_idx]
-        self.start, self.end = new_start, new_end
-        self.nr_accesses, self.last_nr_accesses = new_nr, new_last
-        self.nr_writes, self.write_ewma = new_writes, new_ewma
-        self.age, self.sampling_addr = new_age, new_sampling
+        self.start = self.start[starts_idx]
+        self.end = self.end[chunk_end[starts_idx]]
+        self.sampling_addr = self.sampling_addr[starts_idx]
         self.generation += 1
-        return n - n_new
+        return n - len(starts)
 
     def reset_counters(self) -> None:
         """Counter reset at the end of an aggregation interval:
         current → ``last_nr_accesses``, current cleared."""
-        np.copyto(self.last_nr_accesses, self.nr_accesses)
-        self.nr_accesses[:] = 0
+        block = self.counters
+        block[1] = block[0]
+        block[0] = 0
 
     def split(self, rng: np.random.Generator, pieces: int) -> int:
         """Split every splittable region into up to ``pieces`` randomly
@@ -364,53 +369,38 @@ class RegionArray:
         function of (region count, pieces) only — deterministic under a
         fixed seed regardless of which regions happen to be splittable.
         """
-        n = self.n
+        start, end = self.start, self.end
+        n = len(start)
         if n == 0 or pieces < 2:
             return 0
-        sizes = self.end - self.start
-        n_pages = sizes >> _PAGE_SHIFT
+        n_pages = (end - start) >> _PAGE_SHIFT
         split1 = n_pages >= 2
         offs1 = rng.integers(1, np.where(split1, n_pages, 2))
-        cut1 = np.where(split1, self.start + (offs1 << _PAGE_SHIFT), self.end)
+        cut1 = np.where(split1, start + (offs1 << _PAGE_SHIFT), end)
+        cut2 = end
         if pieces >= 3:
-            right_pages = np.where(split1, self.end - cut1, 0) >> _PAGE_SHIFT
+            right_pages = np.where(split1, end - cut1, 0) >> _PAGE_SHIFT
             split2 = split1 & (right_pages >= 2)
             offs2 = rng.integers(1, np.where(split2, right_pages, 2))
-            cut2 = np.where(split2, cut1 + (offs2 << _PAGE_SHIFT), self.end)
-        else:
-            split2 = np.zeros(n, dtype=bool)
-            cut2 = self.end
-        counts = 1 + split1.astype(np.int64) + split2.astype(np.int64)
-        total = int(counts.sum())
-        if total == n:
+            cut2 = np.where(split2, cut1 + (offs2 << _PAGE_SHIFT), end)
+        if not split1.any():
             return 0
-        base = np.cumsum(counts) - counts  # first-child output row per region
-
-        out_start = np.empty(total, dtype=np.int64)
-        out_end = np.empty(total, dtype=np.int64)
-        out_start[base] = self.start
-        out_end[base + counts - 1] = self.end
-        i1 = np.flatnonzero(split1)
-        out_end[base[i1]] = cut1[i1]
-        out_start[base[i1] + 1] = cut1[i1]
-        i2 = np.flatnonzero(split2)
-        out_end[base[i2] + 1] = cut2[i2]
-        out_start[base[i2] + 2] = cut2[i2]
-
-        self.start, self.end = out_start, out_end
-        self.nr_accesses = np.repeat(self.nr_accesses, counts)
-        self.last_nr_accesses = np.repeat(self.last_nr_accesses, counts)
-        self.nr_writes = np.repeat(self.nr_writes, counts)
-        self.write_ewma = np.repeat(self.write_ewma, counts)
-        self.age = np.repeat(self.age, counts)
+        # A cut not made sits at ``end``, so each region's children are
+        # the non-empty pieces of [start, cut1) [cut1, cut2) [cut2, end),
+        # in row-major order.
+        bounds = np.array((start, cut1, cut2, end)).T
+        lo, hi = bounds[:, :-1], bounds[:, 1:]
+        children = hi > lo
+        counts = np.add.reduce(children, axis=1)
+        self.start, self.end = lo[children], hi[children]
+        self.counters = self.counters.repeat(counts, axis=1)
+        self.write_ewma = self.write_ewma.repeat(counts)
         # Fresh children sample from their own start; unsplit rows keep
         # their sampling address.
-        out_sampling = out_start.copy()
-        unsplit = np.flatnonzero(counts == 1)
-        out_sampling[base[unsplit]] = self.sampling_addr[unsplit]
-        self.sampling_addr = out_sampling
+        lo[:, 0] = np.where(split1, start, self.sampling_addr)
+        self.sampling_addr = lo[children]
         self.generation += 1
-        return total - n
+        return len(self.start) - n
 
     def pick_sampling_addrs(self, rng: np.random.Generator) -> np.ndarray:
         """One random page-aligned sample address per region, drawn in a
@@ -480,6 +470,6 @@ class RegionArray:
         out = RegionArray.from_bounds([(a, b) for a, b, _ in rows])
         src = np.array([source for _, _, source in rows], dtype=np.int64)
         kept = np.flatnonzero(src >= 0)
-        for name in ("nr_accesses", "last_nr_accesses", "nr_writes", "age", "write_ewma"):
-            getattr(out, name)[kept] = getattr(self, name)[src[kept]]
+        out.counters[:, kept] = self.counters[:, src[kept]]
+        out.write_ewma[kept] = self.write_ewma[src[kept]]
         return out

@@ -17,7 +17,11 @@ The file is written atomically (temp + :func:`os.replace`) so a crash
 mid-write leaves either the previous checkpoint or none — never a torn
 one.  :func:`restore_run` re-verifies the digest before unpickling and
 raises :class:`~repro.errors.CheckpointError` (CLI exit code 4) on any
-mismatch.
+mismatch.  Unpickling fails closed: it resolves only classes and
+functions defined under ``repro`` or ``numpy`` (plus ``getattr`` as far
+as enum members and bound methods need it), and any error while
+unpickling — a foreign name, or a payload from an older object layout
+— is a :class:`~repro.errors.CheckpointError` too.
 
 What makes restore *byte-identical* rather than merely plausible:
 
@@ -40,6 +44,7 @@ import io
 import json
 import os
 import pickle
+import types
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -96,6 +101,54 @@ def _dumps(payload: Dict[str, Any]) -> bytes:
     buf = io.BytesIO()
     pickle.dump(payload, buf, protocol=_PICKLE_PROTOCOL)
     return buf.getvalue()
+
+
+#: Modules whose classes and functions a checkpoint may name.
+_TRUSTED_MODULES = ("repro", "numpy")
+
+
+def _trusted(module: Any) -> bool:
+    return isinstance(module, str) and module.split(".", 1)[0] in _TRUSTED_MODULES
+
+
+def _member(obj: Any, name: str) -> Any:
+    """``getattr`` as pickle uses it for enum members and bound methods
+    of this package's classes, and for nothing else."""
+    found = getattr(obj, name)
+    if isinstance(obj, type) and isinstance(found, obj) and _trusted(obj.__module__):
+        return found
+    if (
+        isinstance(found, types.MethodType)
+        and found.__self__ is obj
+        and _trusted(found.__func__.__module__)
+    ):
+        return found
+    raise pickle.UnpicklingError(f"checkpoint asks for untrusted attribute {name!r}")
+
+
+class _CheckpointUnpickler(pickle.Unpickler):
+    """Resolves only what a checkpoint of this package can contain."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        if (module, name) == ("builtins", "getattr"):
+            return _member
+        if _trusted(module) and "." not in name:
+            found = super().find_class(module, name)
+            # The defining module, not the importing one: names that a
+            # trusted module merely imports (``os``, ``pickle.loads``)
+            # stay out of reach.
+            if _trusted(getattr(found, "__module__", None)):
+                return found
+        raise pickle.UnpicklingError(f"checkpoint names untrusted global {module}.{name}")
+
+
+def _loads(blob: bytes, path: str) -> Any:
+    try:
+        return _CheckpointUnpickler(io.BytesIO(blob)).load()
+    except Exception as exc:
+        raise CheckpointError(
+            f"cannot restore checkpoint {path!r}: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def _canonicalize_dtypes(root: Any) -> None:
@@ -239,7 +292,7 @@ def _read_file(
                 f"{header.get('code_version')!r}, this tree is {current!r} "
                 f"(pass --allow-version-skew to restore anyway)"
             )
-    payload = pickle.loads(blob)
+    payload = _loads(blob, path)
     _canonicalize_dtypes(payload)
     return header, payload
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
-import numpy as np
-
 from ..sim.kernel import SimKernel
 from ..trace.bus import TraceBus
 from ..trace.events import QuotaCharged, SchemeApplied, WatermarkTransition
@@ -107,19 +105,21 @@ class SchemesEngine:
                     continue
             scheme.stats.nr_intervals += 1
             # One vectorized pattern pass over the monitor's region
-            # table, then views only for the (typically few) matches.
-            mask = scheme.pattern.match_mask(monitor._ra, attrs)
-            if not mask.any():
+            # table, then plain ints for the (typically few) matches.
+            ra = monitor._ra
+            rows = scheme.pattern.match_mask(ra, attrs).nonzero()[0]
+            if not rows.size:
                 continue
-            regions = monitor.regions
-            matching = [regions[i] for i in np.flatnonzero(mask)]
-            pass_tried = pass_applied = 0
+            starts, ends = ra.start[rows].tolist(), ra.end[rows].tolist()
+            order = range(len(starts))
             if scheme.quota is not None and scheme.quota.limited:
                 quota = scheme.quota
-                matching.sort(
-                    key=lambda r: priority(
-                        r.nr_accesses,
-                        r.age,
+                nr_accesses, ages = ra.nr_accesses[rows].tolist(), ra.age[rows].tolist()
+                order = sorted(
+                    order,
+                    key=lambda i: priority(
+                        nr_accesses[i],
+                        ages[i],
                         attrs.max_nr_accesses,
                         prefer_cold=scheme.action in _COLD_ACTIONS,
                         weight_nr_accesses=quota.weight_nr_accesses,
@@ -128,24 +128,27 @@ class SchemesEngine:
                     reverse=True,
                 )
             budget = scheme.quota.remaining(now) if scheme.quota is not None else None
-            for region in matching:
-                scheme.stats.record_tried(region.size)
-                pass_tried += region.size
-                end = region.end
+            pass_tried = pass_applied = 0
+            aged = []
+            for i in order:
+                start, end = starts[i], ends[i]
+                size = end - start
+                scheme.stats.record_tried(size)
+                pass_tried += size
                 if budget is not None:
                     if budget < 4096:
                         continue
-                    if region.size > budget:
+                    if size > budget:
                         # Upstream splits the region at the budget
                         # boundary and applies to the first part.
-                        end = region.start + (budget & ~4095)
-                if end <= region.start:
+                        end = start + (budget & ~4095)
+                if end <= start:
                     continue
                 # Filters may shatter the applicable range.
                 pieces = (
-                    apply_filters(region.start, end, scheme.filters)
+                    apply_filters(start, end, scheme.filters)
                     if scheme.filters
-                    else [(region.start, end)]
+                    else [(start, end)]
                 )
                 applied = 0
                 for piece_start, piece_end in pieces:
@@ -156,6 +159,7 @@ class SchemesEngine:
                 if applied:
                     scheme.stats.record_applied(applied)
                     pass_applied += applied
+                    aged.append(i)
                     if scheme.quota is not None:
                         scheme.quota.charge(applied, now)
                         if budget is not None:
@@ -169,18 +173,18 @@ class SchemesEngine:
                                     remaining_bytes=scheme.quota.remaining(now),
                                 )
                             )
-                # Aging note: the kernel resets a region's age when a
-                # scheme was applied to it, so the same region is not
-                # re-targeted every aggregation while its pattern decays.
-                if applied and scheme.action is not Action.STAT:
-                    region.age = 0
+            # The kernel resets the age of a region a scheme applied to,
+            # so it is not re-targeted while its pattern decays; before
+            # the next scheme matches (a migrate_hot/migrate_cold pair).
+            if aged and scheme.action is not Action.STAT:
+                ra.age[rows[aged]] = 0
             if tr is not None:
                 tr.emit(
                     SchemeApplied(
                         time_us=tr.now,
                         scheme_index=scheme_index,
                         action=scheme.action.value,
-                        nr_regions=len(matching),
+                        nr_regions=len(rows),
                         bytes_tried=pass_tried,
                         bytes_applied=pass_applied,
                     )

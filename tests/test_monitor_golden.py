@@ -5,9 +5,10 @@ refactor of the region code that changes any split, merge, publish,
 sampling or layout-update decision shows up as a digest mismatch:
 
 * full experiments (``rec``, ``prec``, ``prcl``, ``ethp``, a
-  write-aware reclaimer and a managed ``migrate_hot``/``migrate_cold``
-  tiering pair): the result fingerprint, the sha256 of the canonical
-  JSONL trace, and the final region-table digest;
+  write-aware reclaimer, a quota-limited reclaimer with a deny filter
+  and a managed ``migrate_hot``/``migrate_cold`` tiering pair): the
+  result fingerprint, the sha256 of the canonical JSONL trace, and the
+  final region-table digest;
 * two seeded layout storms driven through ``regions_update_tick``: the
   region digest after every layout update.  The experiments above never
   re-derive their layout, so the storms are what pin the clip of the
@@ -33,12 +34,14 @@ from repro.runner.configs import ExperimentConfig
 from repro.runner.experiment import ExperimentRun
 from repro.sanitize.checkers import digest_region_state
 from repro.schemes.actions import Action
+from repro.schemes.filters import AddressFilter
+from repro.schemes.quotas import Quota
 from repro.schemes.scheme import AccessPattern, Scheme
 from repro.sim.kernel import SimKernel
 from repro.sim.machine import GuestSpec, get_instance, scaled_instance
 from repro.sweep.serialize import fingerprint
 from repro.trace import JsonlTraceSink, TraceBus
-from repro.units import GIB, MIB, MSEC
+from repro.units import GIB, MIB, MSEC, SEC
 
 from .helpers import BASE
 
@@ -94,6 +97,31 @@ def _write_aware(run):
     )
 
 
+def _quota_and_filter(run):
+    """prcl under a limited quota with non-default priority weights and a
+    deny filter: pins the engine's priority sort, the budget cut of a
+    region at the remaining budget, and filter-shattered ranges."""
+    prcl = run.tenant.engine.schemes[0]
+    run.tenant.engine.replace_schemes(
+        [
+            Scheme(
+                pattern=prcl.pattern,
+                action=prcl.action,
+                quota=Quota(
+                    size_bytes=6 * MIB,
+                    reset_interval_us=1 * SEC,
+                    weight_nr_accesses=0.7,
+                    weight_age=0.3,
+                ),
+                filters=[
+                    AddressFilter(0x7F00_0000_0000 + 152 * MIB, 0x7F00_0000_0000 + 156 * MIB,
+                                  allow=False)
+                ],
+            )
+        ]
+    )
+
+
 SCENARIOS = {
     "rec": dict(config="rec"),
     "prec": dict(config="prec"),
@@ -101,6 +129,9 @@ SCENARIOS = {
     "ethp": dict(config="ethp"),
     "write_aware": dict(
         config="prcl", attrs=MonitorAttrs(track_writes=True), setup=_write_aware
+    ),
+    "prcl_quota": dict(
+        workload="parsec3/freqmine", config="prcl", time_scale=0.05, setup=_quota_and_filter
     ),
     "tiering": dict(
         workload="parsec3/freqmine",

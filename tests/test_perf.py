@@ -83,6 +83,32 @@ class TestProfileRun:
         assert profiled.monitor_checks == bare.monitor_checks
 
 
+    def test_every_layer_is_named(self, tmp_path):
+        """Tier migrations are kernel work and checkpoints are recovery
+        work: neither lands in the catch-all ``other`` layer."""
+        from repro.sim.machine import scaled_instance
+        from repro.units import GIB, MIB
+
+        tiered, _ = profile_run(
+            "parsec3/freqmine",
+            config="prcl",
+            seed=5,
+            time_scale=0.02,
+            machine=scaled_instance("i3.metal", dram_scale=256 * MIB * 4 / (128 * GIB)),
+            tier="cxl-dram",
+            tier_scale=1 / 256,
+            tier_policy="managed",
+        )
+        assert tiered["events"].get("TierMigration", 0) > 0
+        assert "other" not in tiered["profile"]["layers"]
+        checkpointed, _ = profile_run(
+            WORKLOAD, checkpoint=str(tmp_path / "ck.bin"), checkpoint_every=3, **ARGS
+        )
+        layers = checkpointed["profile"]["layers"]
+        assert layers["recovery"]["events"] == checkpointed["events"]["CheckpointWritten"]
+        assert "other" not in layers
+
+
 class TestPerfVerb:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["perf", WORKLOAD])

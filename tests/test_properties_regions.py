@@ -11,10 +11,15 @@ central mechanism (§3.1):
 * both passes preserve total covered bytes and keep the region list
   sorted and non-overlapping;
 * aging resets exactly when the access count moved by more than the
-  merge threshold, and increments otherwise.
+  merge threshold, and increments otherwise;
+* the vectorised merge walk equals the per-run reference fold bit for
+  bit, and the four counter names stay views of the counter block
+  through view writes, clips and pickle round trips.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
@@ -113,6 +118,93 @@ def test_merge_respects_min_nr_regions_floor(regions, threshold):
     monitor = _monitor(regions)
     monitor._merge_regions(threshold)
     assert len(monitor.regions) >= ATTRS.min_nr_regions
+
+
+#: Every column of the region table, counter rows included.
+COLUMNS = (
+    "start", "end", "nr_accesses", "last_nr_accesses", "nr_writes", "age",
+    "sampling_addr", "write_ewma",
+)
+COUNTERS = ("nr_accesses", "last_nr_accesses", "nr_writes", "age")
+
+
+def _reference_merge(cols, threshold, sz_limit):
+    """The merge as one column at a time: age, then walk each mergeable
+    run chunk by chunk with one ``searchsorted`` per chunk."""
+    c = {name: column.copy() for name, column in cols.items()}
+    n = len(c["start"])
+    changed = np.abs(c["nr_accesses"] - c["last_nr_accesses"]) > threshold
+    c["age"] = np.where(changed, 0, c["age"] + 1)
+    mergeable = (c["end"][:-1] == c["start"][1:]) & (np.abs(np.diff(c["nr_accesses"])) <= threshold)
+    sizes = c["end"] - c["start"]
+    cum = np.cumsum(sizes)
+    is_start = np.ones(n, dtype=bool)
+    run_idx = np.flatnonzero(mergeable)
+    for run in np.split(run_idx, np.flatnonzero(np.diff(run_idx) > 1) + 1) if run_idx.size else []:
+        j, last = int(run[0]), int(run[-1]) + 1
+        while j <= last:
+            k = int(np.searchsorted(cum, int(cum[j]) - int(sizes[j]) + sz_limit, side="right")) - 1
+            k = min(max(k, j), last)
+            is_start[j + 1 : k + 1] = False
+            j = k + 1
+    starts = np.flatnonzero(is_start)
+    if len(starts) == n:
+        return 0, c
+    weight = np.add.reduceat(sizes, starts)
+    out = {"start": c["start"][starts], "sampling_addr": c["sampling_addr"][starts]}
+    out["end"] = c["end"][np.append(starts[1:], n) - 1]
+    for name in COUNTERS:
+        out[name] = np.rint(np.add.reduceat(c[name] * sizes, starts) / weight).astype(np.int64)
+    out["write_ewma"] = np.add.reduceat(c["write_ewma"] * sizes, starts) / weight
+    return n - len(starts), out
+
+
+@given(regions=region_lists(max_n=40), threshold=st.integers(0, 20), data=st.data())
+@settings(max_examples=300)
+def test_merge_walk_equals_reference_fold(regions, threshold, data):
+    n = regions.n
+    counts = st.lists(st.integers(0, 20), min_size=n, max_size=n)
+    regions.nr_writes = data.draw(counts)
+    regions.write_ewma[:] = data.draw(
+        st.lists(st.floats(0.0, 20.0, allow_nan=False), min_size=n, max_size=n)
+    )
+    pages = (regions.sizes // K).tolist()
+    regions.sampling_addr[:] = regions.start + K * np.array(
+        [data.draw(st.integers(0, p - 1)) for p in pages], dtype=np.int64
+    )
+    span = int(regions.end[-1] - regions.start[0])
+    sz_limit = data.draw(st.integers(K, span))
+    merges, expected = _reference_merge(
+        {name: getattr(regions, name) for name in COLUMNS}, threshold, sz_limit
+    )
+    assert regions.age_and_merge(threshold, sz_limit) == merges
+    for name in COLUMNS:
+        column = getattr(regions, name)
+        assert column.dtype == expected[name].dtype, name
+        assert column.tobytes() == expected[name].tobytes(), name
+
+
+def _assert_rows_view_the_block(ra) -> None:
+    for row, name in enumerate(COUNTERS):
+        assert getattr(ra, name).base is ra.counters, name
+        getattr(ra, name)[:] = row + 100
+        assert (ra.counters[row] == row + 100).all(), name
+
+
+@given(regions=region_lists(), data=st.data())
+@settings(max_examples=100)
+def test_counter_names_stay_views_of_the_block(regions, data):
+    i = data.draw(st.integers(0, regions.n - 1))
+    view = regions.view(i)
+    view.age, view.nr_writes = 77, 5
+    assert regions.counters[3, i] == 77 and regions.counters[2, i] == 5
+    # Clipping to the table's own bounds keeps every row as a survivor.
+    clipped = regions.clip(zip(regions.start.tolist(), regions.end.tolist()))
+    assert clipped.counters.tobytes() == regions.counters.tobytes()
+    restored = pickle.loads(pickle.dumps(regions, protocol=4))
+    assert restored.counters.tobytes() == regions.counters.tobytes()
+    for ra in (clipped, restored, regions):
+        _assert_rows_view_the_block(ra)
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,10 @@ torn journal tails are repaired rather than replayed.
 
 from __future__ import annotations
 
+import copyreg
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -535,6 +537,49 @@ class TestExitCodes:
         path.write_bytes(bytes(blob))
         assert main(["resume", str(path)]) == 4
         assert "refusing to restore" in capsys.readouterr().err
+
+    def test_foreign_global_exits_4_without_running_it(self, tmp_path, capsys):
+        """A payload naming anything outside the package — here
+        ``os.system`` — is refused before it runs, digest valid or not."""
+        from repro.cli import main
+        from repro.recovery.codec import _write_file
+
+        marker = tmp_path / "ran"
+
+        class Payload:
+            def __reduce__(self):
+                return os.system, (f"touch {marker}",)
+
+        path = tmp_path / "ck.bin"
+        blob = pickle.dumps({"tenant": Payload()}, protocol=4)
+        _write_file(str(path), kind="run", time_us=0, blob=blob)
+        assert main(["resume", str(path)]) == 4
+        assert not marker.exists()
+        assert "untrusted global" in capsys.readouterr().err
+
+    def test_skewed_region_layout_exits_4(self, tmp_path, monkeypatch, capsys):
+        """A checkpoint from the older region-table layout (one array per
+        counter, no counter block) fails closed, also when version skew
+        is allowed."""
+        from repro.cli import main
+        from repro.perf.regionarray import RegionArray
+
+        columns = ("start", "end", "nr_accesses", "last_nr_accesses", "nr_writes",
+                   "age", "sampling_addr", "write_ewma", "generation")
+
+        def old_layout(self, protocol):
+            state = {name: getattr(self, name) for name in columns}
+            return copyreg.__newobj__, (RegionArray,), (None, state)
+
+        path = tmp_path / "ck.bin"
+        monkeypatch.setenv("REPRO_SWEEP_VERSION_TAG", "writer-code")
+        monkeypatch.setattr(RegionArray, "__reduce_ex__", old_layout, raising=False)
+        run = fresh_run()
+        run.run_until(2 * run.spec.epoch_us)
+        checkpoint_run(run, str(path))
+        monkeypatch.undo()
+        assert main(["resume", "--allow-version-skew", str(path)]) == 4
+        assert "AttributeError" in capsys.readouterr().err
 
     def test_watchdogged_sweep_exits_3(self, tmp_path, capsys):
         from repro.cli import main
